@@ -70,7 +70,7 @@ func main() {
 		preemptions = flag.Int("preemptions", 2, "preemption bound")
 		maxRuns     = flag.Int("maxruns", 20000, "schedule cap")
 		dpor        = flag.Bool("dpor", false, "conflict-directed exploration (bug hunting) instead of exhaustive")
-		parallel    = flag.Int("parallel", 1, "replay workers for exhaustive mode (output is identical at any value; ignored with -dpor)")
+		parallel    = flag.Int("parallel", 1, "replay workers (output is identical at any value)")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget; on expiry report partial results with status \"deadline\" (0 = none)")
 		maxStates   = flag.Int64("max-states", 0, "stop after this many instrumented events across all schedules (0 = unlimited)")
 		jsonOut     = flag.Bool("json", false, "print the summary as JSON instead of prose")

@@ -1,9 +1,6 @@
 package sched
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/obs/flight"
 	"repro/internal/trace"
 )
@@ -24,82 +21,27 @@ func conflictsDPOR(a, b trace.Event) bool {
 // For every conflicting pair (i, j) with i earliest per interfering thread,
 // the explorer re-runs with a prefix that, at the decision point of event
 // i, schedules j's thread instead. Compared to Explore's exhaustive
-// branching this typically visits orders of magnitude fewer runs while
-// still distinguishing every conflict-inequivalent outcome on the small
-// programs it is meant for (the tests cross-check the outcome sets).
+// branching this typically visits orders of magnitude fewer runs. It is a
+// heuristic, not a sound reduction: it can miss reachable outcomes that
+// Explore finds within the same bound. A known counterexample is
+// gen.Program seed 9 with two threads, two variables, two locks and one
+// op per thread: at preemption bound 1000, Explore reaches x=3 and
+// ExploreDPOR never does (it never reverses a race against an event inside
+// the current prefix, and scans back only two conflicts per thread). Use it for bug hunting and
+// Explore for certification.
 //
 // MaxPreemptions is interpreted as in Explore; fork/join/blocking-induced
-// switches are free. Budgets, cancellation, and panic isolation behave as
-// in Explore: the returned report says how far the reduced search got and
-// why it stopped, and a crashing replay is visited as an *ExploreError.
+// switches are free. Budgets, cancellation, panic isolation and Parallel
+// behave exactly as in Explore — both run the same driver — so the visit
+// sequence is identical at any Parallel value.
 func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
-	if opts.Visit == nil {
-		return nil, fmt.Errorf("sched: ExploreOptions.Visit is required")
-	}
 	opts.RecordTrace = true // the conflict analysis below needs the trace
-	maxRuns := opts.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = 10000
-	}
-	bud := StartBudget(opts.Budget)
-	defer bud.Stop()
-	rep := &ExploreReport{Status: StatusComplete}
-	var ftrack *flight.Track
-	var exSpan flight.Span
-	if fr := flight.Active(); fr != nil {
-		ftrack = fr.Track("explore")
-		exSpan = ftrack.Begin(flight.CatSched, "explore-dpor", 0, flight.A("max_runs", int64(maxRuns)))
-		defer func() {
-			exSpan.EndStr(string(rep.Status),
-				flight.A("runs", int64(rep.Runs)), flight.A("states", rep.States))
-		}()
-	}
-	stack := [][]trace.TID{nil}
 	seen := map[string]bool{"": true}
-	for len(stack) > 0 {
-		if st := bud.Cutoff(); st != "" {
-			rep.Status = st
-			ftrack.Instant(flight.CatSched, "cutoff", string(st), flight.A("runs", int64(rep.Runs)))
-			break
+	return explore(p, opts, "explore-dpor", func(t *exTask, ftrack *flight.Track, push func([]trace.TID)) {
+		if t.res == nil || t.res.Trace == nil {
+			return
 		}
-		if rep.Runs >= maxRuns {
-			rep.Status = StatusBudget
-			ftrack.Instant(flight.CatSched, "budget", string(StatusBudget), flight.A("runs", int64(rep.Runs)))
-			break
-		}
-		prefix := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-
-		var runSpan flight.Span
-		if ftrack != nil {
-			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(prefix))))
-		}
-		res, points, err := replayPrefix(p, &opts, bud.RunContext(), prefix)
-		if ftrack != nil {
-			EndRunSpan(runSpan, res, err)
-		}
-		if errors.Is(err, ErrCancelled) {
-			rep.Status = bud.CancelStatus()
-			rep.Abandoned++
-			break
-		}
-		rep.Runs++
-		if res != nil {
-			rep.States += int64(res.Events)
-			bud.AddStates(int64(res.Events))
-		}
-		if _, ok := err.(*ExploreError); ok { //nolint:errorlint // replayPrefix returns it unwrapped
-			rep.Panics++
-			ftrack.Instant(flight.CatSched, "panic", string(rep.Status), flight.A("run", int64(rep.Runs)))
-		}
-		if !opts.Visit(res, err) {
-			rep.Abandoned += len(stack)
-			return finishReport(rep), nil
-		}
-		if res == nil || res.Trace == nil {
-			continue
-		}
-		tr := res.Trace
+		tr, points, prefix := t.res.Trace, t.points, t.prefix
 
 		// decisionOf[e] = index of the choice point that scheduled event e
 		// (the last thread-pick point whose EventIdx equals e). Select
@@ -119,6 +61,13 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 		// (recounting per pair was quadratic in trace depth).
 		pre := preemptionPrefix(points)
 		pushed := 0
+		pushNew := func(np []trace.TID) {
+			if key := prefixKey(np); !seen[key] {
+				seen[key] = true
+				push(np)
+				pushed++
+			}
+		}
 
 		// For each event j, consider the latest earlier conflicting events
 		// of each other thread: reversing such a pair is the only
@@ -156,17 +105,7 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 				if pre[dp]+cost > opts.MaxPreemptions {
 					continue
 				}
-				np := make([]trace.TID, dp+1)
-				for k := 0; k < dp; k++ {
-					np[k] = points[k].Chosen
-				}
-				np[dp] = ej.Tid
-				key := prefixKey(np)
-				if !seen[key] {
-					seen[key] = true
-					stack = append(stack, np)
-					pushed++
-				}
+				pushNew(flipPrefix(points, dp, ej.Tid))
 			}
 		}
 		// Select nondeterminism is enumerated exhaustively — no reduction
@@ -180,27 +119,15 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 				continue
 			}
 			for _, alt := range pt.Runnable {
-				if alt == pt.Chosen {
-					continue
-				}
-				np := make([]trace.TID, pi+1)
-				for k := 0; k < pi; k++ {
-					np[k] = points[k].Chosen
-				}
-				np[pi] = alt
-				if key := prefixKey(np); !seen[key] {
-					seen[key] = true
-					stack = append(stack, np)
-					pushed++
+				if alt != pt.Chosen {
+					pushNew(flipPrefix(points, pi, alt))
 				}
 			}
 		}
 		if ftrack != nil && pushed > 0 {
 			ftrack.Instant(flight.CatSched, "backtrack", "", flight.A("pushed", int64(pushed)))
 		}
-	}
-	rep.Abandoned += len(stack)
-	return finishReport(rep), nil
+	})
 }
 
 func prefixKey(p []trace.TID) string {

@@ -56,11 +56,32 @@ type ExploreOptions struct {
 // cancellation cuts the search off, the visited sequence is still exactly
 // a prefix of the sequential search's, and no goroutine outlives the call.
 func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
+	return explore(p, opts, "explore", func(t *exTask, _ *flight.Track, push func([]trace.TID)) {
+		expandPrefixes(t.points, len(t.prefix), opts.MaxPreemptions, push)
+	})
+}
+
+// expander pushes, in DFS expansion order, the forced-decision prefixes
+// that branch off the visited task t. It runs on the driver goroutine
+// only, so it may keep unsynchronized state across calls; track is the
+// driver's flight track (nil when not recording).
+type expander func(t *exTask, track *flight.Track, push func([]trace.TID))
+
+// explore is the one driver loop behind Explore and ExploreDPOR; they
+// differ only in the expander that turns a visited run into new prefixes
+// and in the name of the flight span. The driver pops forced-decision
+// prefixes off a DFS stack, replays each (inline, or — with Parallel > 1 —
+// possibly already speculated by a worker), visits the result and expands
+// it. Budgets, cancellation, report accounting, explore.* metrics and
+// flight events live here alone.
+//
+// Budgets and cancellation are checked only on the driver, immediately
+// before it claims or merges the next task — never on workers — so the
+// cutoff lands between two visits and the visited sequence stays exactly
+// the sequential prefix.
+func explore(p *Program, opts ExploreOptions, spanName string, expand expander) (*ExploreReport, error) {
 	if opts.Visit == nil {
 		return nil, fmt.Errorf("sched: ExploreOptions.Visit is required")
-	}
-	if opts.Parallel > 1 {
-		return exploreParallel(p, opts)
 	}
 	maxRuns := opts.MaxRuns
 	if maxRuns <= 0 {
@@ -69,19 +90,48 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	mExploreMaxRuns.Set(int64(maxRuns))
 	bud := StartBudget(opts.Budget)
 	defer bud.Stop()
+	fr := flight.Active()
+	var frontier *exFrontier // nil when exploring sequentially
+	if opts.Parallel > 1 {
+		frontier = newExFrontier()
+		defer frontier.runWorkers(p, &opts, bud, fr, opts.Parallel-1)()
+	}
 	rep := &ExploreReport{Status: StatusComplete}
 	var ftrack *flight.Track
 	var exSpan flight.Span
-	if fr := flight.Active(); fr != nil {
-		ftrack = fr.Track("explore")
-		exSpan = ftrack.Begin(flight.CatSched, "explore", 0, flight.A("max_runs", int64(maxRuns)))
+	if fr != nil {
+		if frontier == nil {
+			ftrack = fr.Track("explore")
+			exSpan = ftrack.Begin(flight.CatSched, spanName, 0, flight.A("max_runs", int64(maxRuns)))
+		} else {
+			ftrack = fr.Track("explore-driver")
+			exSpan = ftrack.Begin(flight.CatSched, spanName, 0,
+				flight.A("max_runs", int64(maxRuns)), flight.A("workers", int64(opts.Parallel)))
+		}
 		defer func() {
 			exSpan.EndStr(string(rep.Status),
 				flight.A("runs", int64(rep.Runs)), flight.A("states", rep.States))
 		}()
 	}
-	// Each stack entry is a forced decision prefix.
-	stack := [][]trace.TID{nil}
+	// stack is the DFS stack; with Parallel > 1 the frontier holds the
+	// subset of it not yet claimed by a worker, in the same order.
+	var stack []*exTask
+	push := func(prefix []trace.TID) {
+		t := &exTask{prefix: prefix}
+		if frontier != nil {
+			t.done = make(chan struct{})
+			if ftrack != nil {
+				// The flow arrow starts at the push; it lands wherever a
+				// worker steals the task (a driver inline replay leaves it
+				// dangling, which Perfetto tolerates).
+				t.flow = fr.NewID()
+				ftrack.FlowOut(flight.CatSched, "steal", t.flow)
+			}
+			frontier.push(t)
+		}
+		stack = append(stack, t)
+	}
+	push(nil)
 	for len(stack) > 0 {
 		if st := bud.Cutoff(); st != "" {
 			rep.Status = st
@@ -93,19 +143,25 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 			ftrack.Instant(flight.CatSched, "budget", string(StatusBudget), flight.A("runs", int64(rep.Runs)))
 			break
 		}
-		prefix := stack[len(stack)-1]
+		t := stack[len(stack)-1]
+		// Clear the slot: a visited task holds its whole result, which the
+		// backing array would otherwise keep reachable until overwritten.
+		stack[len(stack)-1] = nil
 		stack = stack[:len(stack)-1]
 
 		var runSpan flight.Span
 		if ftrack != nil {
-			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(prefix))))
+			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(t.prefix))))
 		}
-		res, points, err := replayPrefix(p, &opts, bud.RunContext(), prefix)
+		if frontier == nil || frontier.claim(t) {
+			replayTask(p, &opts, bud.RunContext(), t)
+		} else {
+			<-t.done
+		}
 		if ftrack != nil {
-			EndRunSpan(runSpan, res, err)
+			EndRunSpan(runSpan, t.res, t.err)
 		}
-		mExploreReplays.Inc()
-		if errors.Is(err, ErrCancelled) {
+		if errors.Is(t.err, ErrCancelled) {
 			// Interrupted mid-run by the deadline or a cancellation: the
 			// partial run is an artifact of the cutoff, not a finding.
 			rep.Status = bud.CancelStatus()
@@ -114,23 +170,19 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 		}
 		rep.Runs++
 		mExploreRuns.Inc()
-		if res != nil {
-			rep.States += int64(res.Events)
-			bud.AddStates(int64(res.Events))
-			mExploreStates.Add(int64(res.Events))
+		if t.res != nil {
+			rep.States += int64(t.res.Events)
+			bud.AddStates(int64(t.res.Events))
+			mExploreStates.Add(int64(t.res.Events))
 		}
-		if _, ok := err.(*ExploreError); ok { //nolint:errorlint // replayPrefix returns it unwrapped
+		if _, ok := t.err.(*ExploreError); ok { //nolint:errorlint // replayPrefix returns it unwrapped
 			rep.Panics++
 			ftrack.Instant(flight.CatSched, "panic", string(rep.Status), flight.A("run", int64(rep.Runs)))
 		}
-		if !opts.Visit(res, err) {
-			rep.Abandoned += len(stack)
-			return finishReport(rep), nil
+		if !opts.Visit(t.res, t.err) {
+			break
 		}
-
-		expandPrefixes(points, len(prefix), opts.MaxPreemptions, func(np []trace.TID) {
-			stack = append(stack, np)
-		})
+		expand(t, ftrack, push)
 		mExploreFrontier.SetMax(int64(len(stack)))
 	}
 	rep.Abandoned += len(stack)
@@ -186,14 +238,20 @@ func expandPrefixes(points []ChoicePoint, prefixLen, maxPreemptions int, push fu
 			if used+cost > maxPreemptions {
 				continue
 			}
-			np := make([]trace.TID, i+1)
-			for j := 0; j < i; j++ {
-				np[j] = points[j].Chosen
-			}
-			np[i] = alt
-			push(np)
+			push(flipPrefix(points, i, alt))
 		}
 	}
+}
+
+// flipPrefix returns the forced-decision prefix that follows points up to
+// decision i and picks alt there.
+func flipPrefix(points []ChoicePoint, i int, alt trace.TID) []trace.TID {
+	np := make([]trace.TID, i+1)
+	for j := 0; j < i; j++ {
+		np[j] = points[j].Chosen
+	}
+	np[i] = alt
+	return np
 }
 
 // preemptionPrefix returns the running preemption counts of a decision-point

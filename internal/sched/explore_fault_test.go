@@ -37,46 +37,48 @@ func (o *schedulePanicObserver) Event(e trace.Event) {
 // Now a crashing schedule must surface as an *ExploreError finding, in the
 // same visit slot at any worker count, with the search still completing.
 func TestExplorePanickingObserver(t *testing.T) {
-	run := func(workers int) ([]string, *ExploreReport) {
-		var log []string
-		rep, err := Explore(incrementers(), ExploreOptions{
-			MaxRuns:        4000,
-			MaxPreemptions: 2,
-			Parallel:       workers,
-			Observers:      func() []Observer { return []Observer{&schedulePanicObserver{}} },
-			Visit: func(res *Result, err error) bool {
-				if err != nil {
-					log = append(log, "err:"+err.Error())
-				} else {
-					log = append(log, "ok")
+	for _, eng := range engines {
+		run := func(workers int) ([]string, *ExploreReport) {
+			var log []string
+			rep, err := eng.explore(incrementers(), ExploreOptions{
+				MaxRuns:        4000,
+				MaxPreemptions: 2,
+				Parallel:       workers,
+				Observers:      func() []Observer { return []Observer{&schedulePanicObserver{}} },
+				Visit: func(res *Result, err error) bool {
+					if err != nil {
+						log = append(log, "err:"+err.Error())
+					} else {
+						log = append(log, "ok")
+					}
+					return true
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return log, rep
+		}
+		seqLog, seqRep := run(1)
+		if seqRep.Panics == 0 {
+			t.Fatal(eng.prefix + "no schedule triggered the observer panic; the fixture is broken")
+		}
+		if seqRep.Panics >= seqRep.Runs {
+			t.Fatalf("%severy run panicked (%d of %d); fixture should mix crashing and clean schedules",
+				eng.prefix, seqRep.Panics, seqRep.Runs)
+		}
+		if seqRep.Status != StatusPanic {
+			t.Fatalf("%sstatus = %s, want %s for a completed search with panics", eng.prefix, seqRep.Status, StatusPanic)
+		}
+		for _, workers := range []int{2, 4} {
+			parLog, parRep := run(workers)
+			if parRep.Runs != seqRep.Runs || parRep.Panics != seqRep.Panics || parRep.Status != seqRep.Status {
+				t.Fatalf("%sparallel=%d: report %+v != sequential %+v", eng.prefix, workers, parRep, seqRep)
+			}
+			for i := range seqLog {
+				if parLog[i] != seqLog[i] {
+					t.Fatalf("%sparallel=%d: visit %d differs:\n  seq %s\n  par %s", eng.prefix, workers, i, seqLog[i], parLog[i])
 				}
-				return true
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return log, rep
-	}
-	seqLog, seqRep := run(1)
-	if seqRep.Panics == 0 {
-		t.Fatal("no schedule triggered the observer panic; the fixture is broken")
-	}
-	if seqRep.Panics >= seqRep.Runs {
-		t.Fatalf("every run panicked (%d of %d); fixture should mix crashing and clean schedules",
-			seqRep.Panics, seqRep.Runs)
-	}
-	if seqRep.Status != StatusPanic {
-		t.Fatalf("status = %s, want %s for a completed search with panics", seqRep.Status, StatusPanic)
-	}
-	for _, workers := range []int{2, 4} {
-		parLog, parRep := run(workers)
-		if parRep.Runs != seqRep.Runs || parRep.Panics != seqRep.Panics || parRep.Status != seqRep.Status {
-			t.Fatalf("parallel=%d: report %+v != sequential %+v", workers, parRep, seqRep)
-		}
-		for i := range seqLog {
-			if parLog[i] != seqLog[i] {
-				t.Fatalf("parallel=%d: visit %d differs:\n  seq %s\n  par %s", workers, i, seqLog[i], parLog[i])
 			}
 		}
 	}
@@ -122,27 +124,29 @@ func TestExplorePanicErrorShape(t *testing.T) {
 // (the factory runs before the virtual program starts) used to escape
 // replayTask without closing t.done, deadlocking the parallel driver.
 func TestExploreObserverFactoryPanic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rep, err := Explore(incrementers(), ExploreOptions{
-			MaxRuns:        100,
-			MaxPreemptions: 2,
-			Parallel:       workers,
-			Observers:      func() []Observer { panic("factory exploded") },
-			Visit: func(res *Result, err error) bool {
-				if _, ok := err.(*ExploreError); !ok { //nolint:errorlint
-					t.Errorf("visit err = %v, want *ExploreError", err)
-				}
-				return true
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Runs != 1 || rep.Panics != 1 {
-			t.Fatalf("parallel=%d: report %+v, want 1 run, 1 panic", workers, rep)
-		}
-		if rep.Status != StatusPanic {
-			t.Fatalf("parallel=%d: status = %s, want %s", workers, rep.Status, StatusPanic)
+	for _, eng := range engines {
+		for _, workers := range []int{1, 4} {
+			rep, err := eng.explore(incrementers(), ExploreOptions{
+				MaxRuns:        100,
+				MaxPreemptions: 2,
+				Parallel:       workers,
+				Observers:      func() []Observer { panic("factory exploded") },
+				Visit: func(res *Result, err error) bool {
+					if _, ok := err.(*ExploreError); !ok { //nolint:errorlint
+						t.Errorf("visit err = %v, want *ExploreError", err)
+					}
+					return true
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Runs != 1 || rep.Panics != 1 {
+				t.Fatalf("%sparallel=%d: report %+v, want 1 run, 1 panic", eng.prefix, workers, rep)
+			}
+			if rep.Status != StatusPanic {
+				t.Fatalf("%sparallel=%d: status = %s, want %s", eng.prefix, workers, rep.Status, StatusPanic)
+			}
 		}
 	}
 }
@@ -151,61 +155,63 @@ func TestExploreObserverFactoryPanic(t *testing.T) {
 // of the sequential visit sequence at any worker count — the tentpole
 // partial-result determinism property.
 func TestExploreMaxStatesPrefix(t *testing.T) {
-	base := ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2}
-	fullLog, fullRuns := visitLog(t, incrementers, base)
-	if fullRuns < 4 {
-		t.Fatalf("fixture explores only %d runs", fullRuns)
-	}
-	// Enough states for a few runs but nowhere near all of them.
-	var budget int64 = 40
-	var want []string
-	for _, workers := range []int{1, 2, 4} {
-		opts := base
-		opts.Parallel = workers
-		opts.Budget = Budget{MaxStates: budget}
-		log, runs := visitLog(t, incrementers, opts)
-		// visitLog fatals on an infrastructure error; re-run the report
-		// checks through a direct call to keep the report visible.
-		rep, err := Explore(incrementers(), func() ExploreOptions {
-			o := opts
-			o.Visit = func(*Result, error) bool { return true }
-			return o
-		}())
-		if err != nil {
-			t.Fatal(err)
+	for _, eng := range engines {
+		base := ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2}
+		fullLog, fullRuns := visitLog(t, eng.explore, incrementers, base)
+		if fullRuns < 4 {
+			t.Fatalf("%sfixture explores only %d runs", eng.prefix, fullRuns)
 		}
-		if rep.Status != StatusBudget {
-			t.Fatalf("parallel=%d: status = %s, want %s", workers, rep.Status, StatusBudget)
-		}
-		if runs != rep.Runs {
-			t.Fatalf("parallel=%d: visitLog runs %d vs report %d (replays are not deterministic?)", workers, runs, rep.Runs)
-		}
-		if rep.Runs == 0 || rep.Runs >= fullRuns {
-			t.Fatalf("parallel=%d: %d runs under budget, full search has %d", workers, rep.Runs, fullRuns)
-		}
-		if rep.Abandoned == 0 {
-			t.Fatalf("parallel=%d: cutoff left Abandoned = 0", workers)
-		}
-		if rep.States < budget {
-			t.Fatalf("parallel=%d: stopped at %d states before the %d budget", workers, rep.States, budget)
-		}
-		if workers == 1 {
-			want = log
-			// The budgeted sequential log must be an exact prefix of the
-			// unbudgeted search's visit sequence.
-			for i := range want {
-				if want[i] != fullLog[i] {
-					t.Fatalf("budgeted visit %d is not the full search's prefix", i)
-				}
+		// Enough states for a few runs but nowhere near all of them.
+		var budget int64 = 40
+		var want []string
+		for _, workers := range []int{1, 2, 4} {
+			opts := base
+			opts.Parallel = workers
+			opts.Budget = Budget{MaxStates: budget}
+			log, runs := visitLog(t, eng.explore, incrementers, opts)
+			// visitLog fatals on an infrastructure error; re-run the report
+			// checks through a direct call to keep the report visible.
+			rep, err := eng.explore(incrementers(), func() ExploreOptions {
+				o := opts
+				o.Visit = func(*Result, error) bool { return true }
+				return o
+			}())
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if len(log) != len(want) {
-			t.Fatalf("parallel=%d: %d visits vs sequential %d", workers, len(log), len(want))
-		}
-		for i := range want {
-			if log[i] != want[i] {
-				t.Fatalf("parallel=%d: visit %d differs under cutoff", workers, i)
+			if rep.Status != StatusBudget {
+				t.Fatalf("%sparallel=%d: status = %s, want %s", eng.prefix, workers, rep.Status, StatusBudget)
+			}
+			if runs != rep.Runs {
+				t.Fatalf("%sparallel=%d: visitLog runs %d vs report %d (replays are not deterministic?)", eng.prefix, workers, runs, rep.Runs)
+			}
+			if rep.Runs == 0 || rep.Runs >= fullRuns {
+				t.Fatalf("%sparallel=%d: %d runs under budget, full search has %d", eng.prefix, workers, rep.Runs, fullRuns)
+			}
+			if rep.Abandoned == 0 {
+				t.Fatalf("%sparallel=%d: cutoff left Abandoned = 0", eng.prefix, workers)
+			}
+			if rep.States < budget {
+				t.Fatalf("%sparallel=%d: stopped at %d states before the %d budget", eng.prefix, workers, rep.States, budget)
+			}
+			if workers == 1 {
+				want = log
+				// The budgeted sequential log must be an exact prefix of the
+				// unbudgeted search's visit sequence.
+				for i := range want {
+					if want[i] != fullLog[i] {
+						t.Fatalf("%sbudgeted visit %d is not the full search's prefix", eng.prefix, i)
+					}
+				}
+				continue
+			}
+			if len(log) != len(want) {
+				t.Fatalf("%sparallel=%d: %d visits vs sequential %d", eng.prefix, workers, len(log), len(want))
+			}
+			for i := range want {
+				if log[i] != want[i] {
+					t.Fatalf("%sparallel=%d: visit %d differs under cutoff", eng.prefix, workers, i)
+				}
 			}
 		}
 	}
@@ -214,24 +220,26 @@ func TestExploreMaxStatesPrefix(t *testing.T) {
 // TestExplorePreCancelledContext: a context cancelled before the search
 // starts visits nothing and abandons the whole frontier.
 func TestExplorePreCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		rep, err := Explore(incrementers(), ExploreOptions{
-			MaxRuns:        100,
-			MaxPreemptions: 2,
-			Parallel:       workers,
-			Budget:         Budget{Ctx: ctx},
-			Visit: func(*Result, error) bool {
-				t.Error("Visit called under a pre-cancelled context")
-				return false
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Runs != 0 || rep.Status != StatusCancelled || rep.Abandoned == 0 {
-			t.Fatalf("parallel=%d: report %+v, want 0 runs, cancelled, abandoned > 0", workers, rep)
+	for _, eng := range engines {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, workers := range []int{1, 4} {
+			rep, err := eng.explore(incrementers(), ExploreOptions{
+				MaxRuns:        100,
+				MaxPreemptions: 2,
+				Parallel:       workers,
+				Budget:         Budget{Ctx: ctx},
+				Visit: func(*Result, error) bool {
+					t.Error("Visit called under a pre-cancelled context")
+					return false
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Runs != 0 || rep.Status != StatusCancelled || rep.Abandoned == 0 {
+				t.Fatalf("%sparallel=%d: report %+v, want 0 runs, cancelled, abandoned > 0", eng.prefix, workers, rep)
+			}
 		}
 	}
 }
@@ -272,37 +280,41 @@ func TestExploreCancelDuringVisit(t *testing.T) {
 // TestExploreDeadline: a wall-clock budget ends a large search with the
 // deadline status rather than an error.
 func TestExploreDeadline(t *testing.T) {
-	rep, err := Explore(counterProgram(2, 60, true), ExploreOptions{
-		MaxRuns:        1_000_000,
-		MaxPreemptions: 2,
-		Budget:         Budget{Timeout: time.Millisecond},
-		Visit:          func(*Result, error) bool { return true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != StatusDeadline {
-		t.Fatalf("status = %s, want %s", rep.Status, StatusDeadline)
+	for _, eng := range engines {
+		rep, err := eng.explore(counterProgram(3, 60, true), ExploreOptions{
+			MaxRuns:        1_000_000,
+			MaxPreemptions: 2,
+			Budget:         Budget{Timeout: time.Millisecond},
+			Visit:          func(*Result, error) bool { return true },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Status != StatusDeadline {
+			t.Fatalf("%sstatus = %s, want %s", eng.prefix, rep.Status, StatusDeadline)
+		}
 	}
 }
 
 // TestExploreMemBudget: an unmeetable heap budget stops the search at the
 // first driver check (the heap always exceeds one byte).
 func TestExploreMemBudget(t *testing.T) {
-	rep, err := Explore(incrementers(), ExploreOptions{
-		MaxRuns:        100,
-		MaxPreemptions: 2,
-		Budget:         Budget{MemBudget: 1},
-		Visit: func(*Result, error) bool {
-			t.Error("Visit called under an unmeetable memory budget")
-			return false
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs != 0 || rep.Status != StatusBudget {
-		t.Fatalf("report %+v, want 0 runs with %s", rep, StatusBudget)
+	for _, eng := range engines {
+		rep, err := eng.explore(incrementers(), ExploreOptions{
+			MaxRuns:        100,
+			MaxPreemptions: 2,
+			Budget:         Budget{MemBudget: 1},
+			Visit: func(*Result, error) bool {
+				t.Error("Visit called under an unmeetable memory budget")
+				return false
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Runs != 0 || rep.Status != StatusBudget {
+			t.Fatalf("%sreport %+v, want 0 runs with %s", eng.prefix, rep, StatusBudget)
+		}
 	}
 }
 

@@ -30,8 +30,8 @@ func requireNoGoroutineLeak(t *testing.T, f func()) {
 
 // TestExploreNoGoroutineLeak covers every way a search can end — clean
 // completion, early stop, each budget cutoff, cancellation, and replay
-// panics — at both worker counts, asserting no goroutine outlives the
-// Explore call.
+// panics — at both worker counts and for both engines, asserting no
+// goroutine outlives the call.
 func TestExploreNoGoroutineLeak(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -89,21 +89,23 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 				Visit:     func(*Result, error) bool { return true }}
 		}},
 	}
-	for _, sc := range scenarios {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/parallel=%d", sc.name, workers), func(t *testing.T) {
-				requireNoGoroutineLeak(t, func() {
-					opts := sc.opts()
-					opts.Parallel = workers
-					prog := incrementers
-					if sc.name == "deadline" {
-						prog = func() *Program { return counterProgram(2, 60, true) }
-					}
-					if _, err := Explore(prog(), opts); err != nil {
-						t.Fatal(err)
-					}
+	for _, eng := range engines {
+		for _, sc := range scenarios {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s%s/parallel=%d", eng.prefix, sc.name, workers), func(t *testing.T) {
+					requireNoGoroutineLeak(t, func() {
+						opts := sc.opts()
+						opts.Parallel = workers
+						prog := incrementers
+						if sc.name == "deadline" {
+							prog = func() *Program { return counterProgram(3, 60, true) }
+						}
+						if _, err := eng.explore(prog(), opts); err != nil {
+							t.Fatal(err)
+						}
+					})
 				})
-			})
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -15,8 +14,9 @@ import (
 //
 // Every entry of the sequential DFS stack is a forced-decision prefix whose
 // replay is an independent, fully deterministic Program run — the only
-// ordering constraint in Explore is that Visit observes results in DFS
-// order and that a run's choice points seed its children. That makes the
+// ordering constraint in the driver (explore, shared by Explore and
+// ExploreDPOR) is that Visit observes results in DFS order and that a
+// run's expansion seeds its children. That makes the
 // search an ideal work-sharing problem: a driver goroutine walks the exact
 // sequential stack discipline while a pool of workers speculatively replays
 // pending prefixes pulled from a shared LIFO frontier. Because replays are
@@ -36,7 +36,7 @@ import (
 // exTask is one forced-decision prefix queued for replay.
 type exTask struct {
 	prefix []trace.TID
-	done   chan struct{} // closed once res/err/points are filled
+	done   chan struct{} // closed once res/err/points are filled; nil when sequential
 	res    *Result
 	err    error
 	points []ChoicePoint
@@ -61,9 +61,7 @@ func newExFrontier() *exFrontier {
 func (f *exFrontier) push(t *exTask) {
 	f.mu.Lock()
 	f.stack = append(f.stack, t)
-	depth := len(f.stack)
 	f.mu.Unlock()
-	mExploreFrontier.SetMax(int64(depth))
 	f.cond.Signal()
 }
 
@@ -104,39 +102,27 @@ func (f *exFrontier) close() {
 	f.cond.Broadcast()
 }
 
-// replayTask executes one guided run and publishes the outcome. The done
-// channel is closed unconditionally — and replayPrefix recovers panics
-// anywhere in the replay — so a crashing schedule can never leave the
-// driver blocked on t.done.
+// replayTask executes one guided run and publishes the outcome. A task
+// with a done channel has it closed unconditionally — and replayPrefix
+// recovers panics anywhere in the replay — so a crashing schedule can
+// never leave the driver blocked on t.done.
 func replayTask(p *Program, opts *ExploreOptions, ctx context.Context, t *exTask) {
-	defer close(t.done)
+	if t.done != nil {
+		defer close(t.done)
+	}
 	t.res, t.points, t.err = replayPrefix(p, opts, ctx, t.prefix)
 	mExploreReplays.Inc()
 }
 
-// exploreParallel is Explore's work-sharing engine for opts.Parallel > 1.
-//
-// Budgets and cancellation are checked only on the driver, immediately
-// before it claims or merges the next task — never on workers — so the
-// cutoff lands between two visits and the visited sequence stays exactly
-// the sequential prefix. On cutoff the deferred close/wait drains the
-// pool: idle workers wake from take() and exit, and in-flight replays
-// either finish or (when a cancellation context is set) abort at their
-// next per-1024-event check.
-func exploreParallel(p *Program, opts ExploreOptions) (*ExploreReport, error) {
-	maxRuns := opts.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = 10000
-	}
-	mExploreMaxRuns.Set(int64(maxRuns))
-	bud := StartBudget(opts.Budget)
-	defer bud.Stop()
-	fr := flight.Active()
-	var ftrack *flight.Track
-	var exSpan flight.Span
-	frontier := newExFrontier()
+// runWorkers starts n workers that speculatively replay tasks taken off
+// the frontier and returns the function that stops them. Stopping closes
+// the frontier (abandoning unclaimed speculation) and waits for in-flight
+// replays, so no goroutine outlives the search: idle workers wake from
+// take() and exit, and in-flight replays either finish or (when a
+// cancellation context is set) abort at their next per-1024-event check.
+func (f *exFrontier) runWorkers(p *Program, opts *ExploreOptions, bud *BudgetTracker, fr *flight.Recorder, n int) (stop func()) {
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Parallel-1; w++ {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -146,7 +132,7 @@ func exploreParallel(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 			}
 			for {
 				idle := time.Now()
-				t := frontier.take()
+				t := f.take()
 				mWorkerIdleNs.Add(int64(time.Since(idle)))
 				if t == nil {
 					return
@@ -158,7 +144,7 @@ func exploreParallel(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 						flight.A("depth", int64(len(t.prefix))))
 				}
 				busy := time.Now()
-				replayTask(p, &opts, bud.RunContext(), t)
+				replayTask(p, opts, bud.RunContext(), t)
 				mWorkerBusyNs.Add(int64(time.Since(busy)))
 				mExploreSteals.Inc()
 				if wtrack != nil {
@@ -167,91 +153,8 @@ func exploreParallel(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 			}
 		}(w)
 	}
-	// Stop the pool (abandoning unclaimed speculation) and wait for in-
-	// flight replays before returning, so no goroutine outlives the search.
-	defer func() {
-		frontier.close()
+	return func() {
+		f.close()
 		wg.Wait()
-	}()
-
-	newTask := func(prefix []trace.TID) *exTask {
-		t := &exTask{prefix: prefix, done: make(chan struct{})}
-		if ftrack != nil {
-			// The flow arrow starts at the push; it lands wherever a worker
-			// steals the task (a driver inline replay leaves it dangling,
-			// which Perfetto tolerates).
-			t.flow = fr.NewID()
-			ftrack.FlowOut(flight.CatSched, "steal", t.flow)
-		}
-		frontier.push(t)
-		return t
 	}
-
-	if fr != nil {
-		ftrack = fr.Track("explore-driver")
-		exSpan = ftrack.Begin(flight.CatSched, "explore", 0,
-			flight.A("max_runs", int64(maxRuns)), flight.A("workers", int64(opts.Parallel)))
-	}
-	// stack mirrors the sequential DFS stack; frontier holds the subset of
-	// it not yet claimed by a worker, in the same order.
-	stack := []*exTask{newTask(nil)}
-	rep := &ExploreReport{Status: StatusComplete}
-	if ftrack != nil {
-		defer func() {
-			exSpan.EndStr(string(rep.Status),
-				flight.A("runs", int64(rep.Runs)), flight.A("states", rep.States))
-		}()
-	}
-	for len(stack) > 0 {
-		if st := bud.Cutoff(); st != "" {
-			rep.Status = st
-			ftrack.Instant(flight.CatSched, "cutoff", string(st), flight.A("runs", int64(rep.Runs)))
-			break
-		}
-		if rep.Runs >= maxRuns {
-			rep.Status = StatusBudget
-			ftrack.Instant(flight.CatSched, "budget", string(StatusBudget), flight.A("runs", int64(rep.Runs)))
-			break
-		}
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var runSpan flight.Span
-		if ftrack != nil {
-			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(),
-				flight.A("depth", int64(len(t.prefix))))
-		}
-		if frontier.claim(t) {
-			replayTask(p, &opts, bud.RunContext(), t)
-		} else {
-			<-t.done
-		}
-		if ftrack != nil {
-			EndRunSpan(runSpan, t.res, t.err)
-		}
-		if errors.Is(t.err, ErrCancelled) {
-			rep.Status = bud.CancelStatus()
-			rep.Abandoned++
-			break
-		}
-		rep.Runs++
-		mExploreRuns.Inc()
-		if t.res != nil {
-			rep.States += int64(t.res.Events)
-			bud.AddStates(int64(t.res.Events))
-			mExploreStates.Add(int64(t.res.Events))
-		}
-		if _, ok := t.err.(*ExploreError); ok { //nolint:errorlint // replayPrefix returns it unwrapped
-			rep.Panics++
-			ftrack.Instant(flight.CatSched, "panic", string(rep.Status), flight.A("run", int64(rep.Runs)))
-		}
-		if !opts.Visit(t.res, t.err) {
-			rep.Abandoned += len(stack)
-			return finishReport(rep), nil
-		}
-		expandPrefixes(t.points, len(t.prefix), opts.MaxPreemptions, func(np []trace.TID) {
-			stack = append(stack, newTask(np))
-		})
-	}
-	rep.Abandoned += len(stack)
-	return finishReport(rep), nil
 }

@@ -9,9 +9,19 @@ import (
 	"repro/internal/trace"
 )
 
+// engine is an exploration entry point. Both run the same driver, so the
+// fault, budget, leak and determinism tables run against each; Explore's
+// cases keep their unprefixed subtest names.
+type engine struct {
+	prefix  string // subtest-name and message prefix
+	explore func(*Program, ExploreOptions) (*ExploreReport, error)
+}
+
+var engines = []engine{{"", Explore}, {"dpor/", ExploreDPOR}}
+
 // visitLog runs the explorer and records a deterministic fingerprint of
 // every visit, in order.
-func visitLog(t *testing.T, build func() *Program, opts ExploreOptions) ([]string, int) {
+func visitLog(t *testing.T, explore func(*Program, ExploreOptions) (*ExploreReport, error), build func() *Program, opts ExploreOptions) ([]string, int) {
 	t.Helper()
 	var log []string
 	opts.RecordTrace = true
@@ -24,7 +34,7 @@ func visitLog(t *testing.T, build func() *Program, opts ExploreOptions) ([]strin
 		}
 		return true
 	}
-	rep, err := Explore(build(), opts)
+	rep, err := explore(build(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +43,8 @@ func visitLog(t *testing.T, build func() *Program, opts ExploreOptions) ([]strin
 
 // TestExploreParallelBitIdentical asserts the tentpole property: the visit
 // sequence (not just the multiset) and the run count are identical between
-// the sequential DFS and the work-sharing engine at several worker counts.
+// the sequential DFS and the work-sharing engine at several worker counts,
+// for the exhaustive and the conflict-directed expander alike.
 func TestExploreParallelBitIdentical(t *testing.T) {
 	builds := map[string]func() *Program{
 		"two-writers":          twoWriters,
@@ -42,28 +53,30 @@ func TestExploreParallelBitIdentical(t *testing.T) {
 		"counter-2x2":          func() *Program { return counterProgram(2, 2, true) },
 		"counter-3x1-unlocked": func() *Program { return counterProgram(3, 1, false) },
 	}
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			base := ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2}
-			seqLog, seqRuns := visitLog(t, build, base)
-			for _, workers := range []int{2, 4, 8} {
-				opts := base
-				opts.Parallel = workers
-				parLog, parRuns := visitLog(t, build, opts)
-				if parRuns != seqRuns {
-					t.Fatalf("parallel=%d: runs = %d, sequential = %d", workers, parRuns, seqRuns)
-				}
-				if len(parLog) != len(seqLog) {
-					t.Fatalf("parallel=%d: %d visits vs %d", workers, len(parLog), len(seqLog))
-				}
-				for i := range seqLog {
-					if parLog[i] != seqLog[i] {
-						t.Fatalf("parallel=%d: visit %d differs:\n  seq %s\n  par %s",
-							workers, i, seqLog[i], parLog[i])
+	for _, eng := range engines {
+		for name, build := range builds {
+			t.Run(eng.prefix+name, func(t *testing.T) {
+				base := ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2}
+				seqLog, seqRuns := visitLog(t, eng.explore, build, base)
+				for _, workers := range []int{2, 4, 8} {
+					opts := base
+					opts.Parallel = workers
+					parLog, parRuns := visitLog(t, eng.explore, build, opts)
+					if parRuns != seqRuns {
+						t.Fatalf("parallel=%d: runs = %d, sequential = %d", workers, parRuns, seqRuns)
+					}
+					if len(parLog) != len(seqLog) {
+						t.Fatalf("parallel=%d: %d visits vs %d", workers, len(parLog), len(seqLog))
+					}
+					for i := range seqLog {
+						if parLog[i] != seqLog[i] {
+							t.Fatalf("parallel=%d: visit %d differs:\n  seq %s\n  par %s",
+								workers, i, seqLog[i], parLog[i])
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -95,10 +108,10 @@ func TestExploreParallelEarlyStop(t *testing.T) {
 // prefix of the visit sequence.
 func TestExploreParallelMaxRuns(t *testing.T) {
 	base := ExploreOptions{MaxRuns: 7, MaxPreemptions: 2}
-	seqLog, seqRuns := visitLog(t, incrementers, base)
+	seqLog, seqRuns := visitLog(t, Explore, incrementers, base)
 	par := base
 	par.Parallel = 4
-	parLog, parRuns := visitLog(t, incrementers, par)
+	parLog, parRuns := visitLog(t, Explore, incrementers, par)
 	if seqRuns != 7 || parRuns != 7 {
 		t.Fatalf("runs: seq=%d par=%d, want 7", seqRuns, parRuns)
 	}

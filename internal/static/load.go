@@ -3,6 +3,7 @@ package static
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -108,12 +109,19 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// check parses and type-checks the package in dir. Target packages keep
-// their file list for analysis; imported module packages are indexed for
+// check parses and type-checks the package in dir. Only the files the go
+// tool would build for the host platform are parsed, so per-architecture
+// variants of one declaration do not collide. Target packages keep their
+// file list for analysis; imported module packages are indexed for
 // declaration lookup only.
 func (l *loader) check(importPath, dir string, target bool) (*types.Package, []*ast.File, error) {
 	pkgs, err := parser.ParseDir(l.fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
+		if strings.HasSuffix(fi.Name(), "_test.go") {
+			return false
+		}
+		// A file MatchFile cannot read is kept so the parser reports it.
+		ok, err := build.Default.MatchFile(dir, fi.Name())
+		return ok || err != nil
 	}, parser.ParseComments)
 	if err != nil {
 		return nil, nil, err

@@ -47,6 +47,15 @@ func TestDSLVerdicts(t *testing.T) {
 	}
 }
 
+// TestDSLPackageLoadsWithoutWarnings: a DSL package imports the virtual
+// runtime, whose per-architecture files declare the same method; the
+// loader must honour build constraints and type-check it cleanly.
+func TestDSLPackageLoadsWithoutWarnings(t *testing.T) {
+	if rep := analyze(t, "testdata/dsl"); len(rep.Warnings) > 0 {
+		t.Errorf("warnings for a well-typed DSL package: %v", rep.Warnings)
+	}
+}
+
 func TestRacyFindingPointsAtSecondWrite(t *testing.T) {
 	rep := analyze(t, "testdata/dsl")
 	f := mustFunc(t, rep, "dsl.racer")

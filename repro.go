@@ -309,31 +309,23 @@ func CooperativeWitness(tr *Trace) (*Trace, error) { return equiv.CooperativeWit
 // given preemption bound), invoking visit with each run's trace or error.
 // visit returning false stops the search. It returns the number of runs.
 func Explore(p *Program, maxRuns, maxPreemptions int, visit func(tr *Trace, err error) bool) (int, error) {
-	rep, err := sched.Explore(p, sched.ExploreOptions{
-		MaxRuns:        maxRuns,
-		MaxPreemptions: maxPreemptions,
-		RecordTrace:    true,
-		Visit: func(res *sched.Result, err error) bool {
-			var tr *Trace
-			if res != nil {
-				tr = res.Trace
-			}
-			return visit(tr, err)
-		},
-	})
-	if err != nil {
-		return 0, err
-	}
-	return rep.Runs, nil
+	return explore(sched.Explore, p, maxRuns, maxPreemptions, visit)
 }
 
 // ExploreReduced is Explore with dynamic partial-order reduction: it
 // re-runs only where the observed traces exhibit cross-thread conflicts,
-// typically visiting far fewer schedules while still distinguishing every
-// conflict-inequivalent outcome. Prefer it for bug hunting; prefer Explore
-// (exhaustive within the bound) for certification.
+// typically visiting far fewer schedules. The reduction is a heuristic
+// that can miss outcomes the exhaustive search reaches within the same
+// bound. Prefer it for bug hunting; prefer Explore (exhaustive within the
+// bound) for certification.
 func ExploreReduced(p *Program, maxRuns, maxPreemptions int, visit func(tr *Trace, err error) bool) (int, error) {
-	rep, err := sched.ExploreDPOR(p, sched.ExploreOptions{
+	return explore(sched.ExploreDPOR, p, maxRuns, maxPreemptions, visit)
+}
+
+// explore runs one exploration engine, handing visit each run's trace.
+func explore(engine func(*sched.Program, sched.ExploreOptions) (*sched.ExploreReport, error),
+	p *Program, maxRuns, maxPreemptions int, visit func(tr *Trace, err error) bool) (int, error) {
+	rep, err := engine(p, sched.ExploreOptions{
 		MaxRuns:        maxRuns,
 		MaxPreemptions: maxPreemptions,
 		RecordTrace:    true,
