@@ -35,8 +35,9 @@ bench-smoke:
 
 # Regression gate: re-run the full sweep (best of 2) and fail if any
 # benchmark regressed more than 10% on its primary metric (events/s where
-# reported, else ns/op) against the committed BENCH_latest.json. CI runs a
-# faster throughput-only subset of this; see .github/workflows/ci.yml.
+# reported, else ns/op) against the committed BENCH_latest.json, or has no
+# row there. CI runs a faster throughput-only subset of this; see
+# .github/workflows/ci.yml.
 bench-check:
 	$(GO) test -bench=. -benchmem -count=2 ./... | $(GO) run ./cmd/benchjson -compare BENCH_latest.json > /dev/null
 

@@ -5,18 +5,20 @@
 // can be diffed mechanically; the text form stays benchstat-compatible.
 //
 // With -compare it additionally diffs the parsed results against a
-// committed baseline JSON (exit 1 on regression), which is what the CI
-// regression gate runs:
+// committed baseline JSON (exit 1 on regression or on a benchmark with no
+// baseline), which is what the CI regression gate runs:
 //
 //	go test -bench=. -benchmem ./... | go run ./cmd/benchjson > BENCH_latest.json
 //	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -compare BENCH_latest.json > /dev/null
 //
-// Comparison is per benchmark (matched by package+name) on one primary
-// metric: events/s when both sides report it (higher is better), ns/op
-// otherwise (lower is better). A change past -threshold (default 0.10,
-// i.e. 10%) in the losing direction is a regression; benchmarks present on
-// only one side are listed but never fail the run, so adding or removing a
-// benchmark does not require regenerating the baseline in the same commit.
+// Comparison is per benchmark (matched by package and name, ignoring the
+// GOMAXPROCS suffix) on one primary metric: events/s when both sides
+// report it (higher is better), ns/op otherwise (lower is better). A
+// change past -threshold (default 0.10, i.e. 10%) in the losing direction
+// is a regression. A benchmark in the input with no baseline fails the
+// run too: a gate that passes what it cannot compare guards nothing, so a
+// new gated benchmark lands with its baseline rows. Baseline rows absent
+// from the input are only listed.
 package main
 
 import (
@@ -39,7 +41,18 @@ type Result struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-func (r Result) key() string { return r.Package + "/" + r.Name }
+// key identifies a benchmark across runs: package plus name without the
+// "-N" GOMAXPROCS suffix go test appends when N > 1, so a baseline taken
+// at one CPU count still matches a run at another.
+func (r Result) key() string {
+	name := r.Name
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	return r.Package + "/" + name
+}
 
 // parseText reads `go test -bench` text output.
 func parseText(r io.Reader) ([]Result, error) {
@@ -124,8 +137,9 @@ func mergeBest(in []Result) map[string]Result {
 }
 
 // compare diffs new against base and reports regressions past threshold.
-// It writes a human-readable summary to w and returns the regressed lines.
-func compare(w io.Writer, base, new []Result, threshold float64) []string {
+// It writes a human-readable summary to w and returns the regressed lines
+// and the keys of input benchmarks the baseline lacks.
+func compare(w io.Writer, base, new []Result, threshold float64) (regressions, unbaselined []string) {
 	baseBy := mergeBest(base)
 	newBy := mergeBest(new)
 	keys := make([]string, 0, len(newBy))
@@ -134,12 +148,12 @@ func compare(w io.Writer, base, new []Result, threshold float64) []string {
 	}
 	sort.Strings(keys)
 
-	var regressions []string
 	for _, k := range keys {
 		nr := newBy[k]
 		br, ok := baseBy[k]
 		if !ok {
-			fmt.Fprintf(w, "  new       %-60s (no baseline)\n", k)
+			fmt.Fprintf(w, "  MISSING   %-60s (no baseline)\n", k)
+			unbaselined = append(unbaselined, k)
 			continue
 		}
 		metric, higher, ok := primaryMetric(br, nr)
@@ -174,7 +188,7 @@ func compare(w io.Writer, base, new []Result, threshold float64) []string {
 			fmt.Fprintf(w, "  removed   %-60s (in baseline only)\n", k)
 		}
 	}
-	return regressions
+	return regressions, unbaselined
 }
 
 func fatal(err error) {
@@ -211,12 +225,20 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: comparing %d benchmarks against %s (threshold %.0f%%)\n",
 		len(results), *compareWith, *threshold*100)
-	regressions := compare(os.Stderr, base, results, *threshold)
+	regressions, unbaselined := compare(os.Stderr, base, results, *threshold)
 	if len(regressions) > 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%%:\n", len(regressions), *threshold*100)
 		for _, l := range regressions {
 			fmt.Fprintln(os.Stderr, " ", l)
 		}
+	}
+	if len(unbaselined) > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) have no baseline in %s:\n", len(unbaselined), *compareWith)
+		for _, k := range unbaselined {
+			fmt.Fprintln(os.Stderr, " ", k)
+		}
+	}
+	if len(regressions) > 0 || len(unbaselined) > 0 {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "benchjson: no regressions")

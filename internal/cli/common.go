@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/obs/obshttp"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -183,7 +184,7 @@ func (c *Common) Start() error {
 // instead of Start; Close tears everything down either way.
 func (c *Common) StartTelemetry() error {
 	if c.MetricsAddr != "" {
-		addr, shutdown, err := obs.Serve(c.MetricsAddr, obs.Default)
+		addr, shutdown, err := obshttp.Serve(c.MetricsAddr, obs.Default)
 		if err != nil {
 			return fmt.Errorf("%s: -metrics-addr: %w", c.tool, err)
 		}

@@ -1,8 +1,9 @@
 // Package obs is the reproduction's zero-dependency, allocation-lean
 // metrics layer: atomic counters, gauges, and fixed-bucket histograms in a
 // named registry, plus a lightweight span timer, a deterministic run-report
-// snapshot (snapshot.go), a live HTTP endpoint (http.go), and a periodic
-// progress reporter (progress.go).
+// snapshot (snapshot.go), and a periodic progress reporter (progress.go).
+// The live HTTP endpoint is the separate package obs/obshttp, so that
+// importing obs never pulls in net/http.
 //
 // Design rules (DESIGN.md, "Observability"):
 //

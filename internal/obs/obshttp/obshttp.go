@@ -1,4 +1,9 @@
-package obs
+// Package obshttp serves an obs registry over HTTP for the CLI tools'
+// -metrics-addr flag. It is a leaf package of its own so that net/http,
+// expvar and net/http/pprof stay out of the import closure of everything
+// that imports obs — the virtual runtime, and through it every sched-DSL
+// program the static front end type-checks from source.
+package obshttp
 
 import (
 	"context"
@@ -8,6 +13,8 @@ import (
 	"net/http/pprof"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // expvarOnce guards the one-time expvar publication of the Default
@@ -23,10 +30,10 @@ var expvarOnce sync.Once
 //	/metrics        registry snapshot as key-sorted JSON
 //	/debug/vars     expvar JSON (includes the registry under "obs")
 //	/debug/pprof/   the standard net/http/pprof profile handlers
-func Serve(addr string, r *Registry) (bound string, shutdown func() error, err error) {
-	if r == Default {
+func Serve(addr string, r *obs.Registry) (bound string, shutdown func() error, err error) {
+	if r == obs.Default {
 		expvarOnce.Do(func() {
-			expvar.Publish("obs", expvar.Func(func() any { return Default.Snapshot() }))
+			expvar.Publish("obs", expvar.Func(func() any { return obs.Default.Snapshot() }))
 		})
 	}
 	mux := http.NewServeMux()

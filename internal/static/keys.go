@@ -146,21 +146,28 @@ func sameBinding(a, b binding) bool {
 // distinct classes; loopDepth > 0 marks the class multi (one site, many
 // runtime objects).
 func freshKey(kind keyKind, inst string, pos token.Position, label string, multi bool) key {
-	id := fmt.Sprintf("%s@%s:%d:%d", label, trimLoc(pos.Filename), pos.Line, pos.Column)
+	id := label + "@" + siteLoc(pos)
 	if inst != "" {
 		id = inst + "|" + id
 	}
 	return key{id: id, kind: kind, multi: multi}
 }
 
+// siteLoc renders a source position as "dir/file.go:line:col". Keys embed
+// positions in this form, never as raw token.Pos offsets: loaders share
+// FileSets, so an offset depends on what the process parsed before.
+func siteLoc(pos token.Position) string {
+	return fmt.Sprintf("%s:%d:%d", trimLoc(pos.Filename), pos.Line, pos.Column)
+}
+
 // pathKey names storage reached from a stable root object: package-level
 // variables keep their qualified name; parameters and receivers embed the
 // declaration position so same-named parameters of different functions
 // stay distinct classes.
-func pathKey(kind keyKind, root types.Object, path string, multi bool) key {
+func pathKey(fset *token.FileSet, kind keyKind, root types.Object, path string, multi bool) key {
 	id := fmt.Sprintf("%s.%s", root.Pkg().Path(), root.Name())
 	if v, ok := root.(*types.Var); ok && v.Parent() != v.Pkg().Scope() {
-		id = fmt.Sprintf("%s@%d", id, root.Pos())
+		id += "@" + siteLoc(fset.Position(root.Pos()))
 	}
 	if path != "" {
 		id += "/" + path

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // loadedPackage is one type-checked target package.
@@ -31,7 +32,7 @@ type loadedPackage struct {
 type loader struct {
 	fset    *token.FileSet
 	info    *types.Info
-	std     types.Importer
+	std     *stdImporter
 	modRoot string
 	modPath string
 	cache   map[string]*types.Package
@@ -42,10 +43,29 @@ type loader struct {
 	typeErrs   []error
 }
 
-func newLoader() *loader {
+// stdImporter is a FileSet and the stdlib source importer that parses
+// into it. The source importer caches every package it type-checks, so a
+// pair that outlives one loader spares the next loader the whole stdlib
+// type-check; it is not safe for concurrent use, so a pair belongs to one
+// loader at a time.
+type stdImporter struct {
+	fset *token.FileSet
+	imp  types.Importer
+}
+
+// stdImporters hands idle pairs from one loader to the next. A pool rather
+// than one process-wide importer: the pool drops idle pairs at GC, so a
+// process that is done loading does not keep the stdlib universe resident.
+var stdImporters = sync.Pool{New: func() any {
 	fset := token.NewFileSet()
+	return &stdImporter{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+}}
+
+// newLoader borrows a stdlib importer pair; the caller must release it.
+func newLoader() *loader {
+	std := stdImporters.Get().(*stdImporter)
 	return &loader{
-		fset: fset,
+		fset: std.fset,
 		info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -53,10 +73,18 @@ func newLoader() *loader {
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 			Implicits:  map[ast.Node]types.Object{},
 		},
-		std:        importer.ForCompiler(fset, "source", nil),
+		std:        std,
 		cache:      map[string]*types.Package{},
 		declsByObj: map[*types.Func]*ast.FuncDecl{},
 	}
+}
+
+// release returns the loader's stdlib importer pair to the pool. Results
+// already loaded stay valid: the FileSet is safe for concurrent use by the
+// next borrower, and imported packages are never mutated after their check.
+func (l *loader) release() {
+	stdImporters.Put(l.std)
+	l.std = nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and records the
@@ -97,7 +125,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		dir := filepath.Join(l.modRoot, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")))
 		pkg, _, err = l.check(path, dir, false)
 	} else {
-		pkg, err = l.std.Import(path)
+		pkg, err = l.std.imp.Import(path)
 	}
 	if err != nil {
 		// Record a placeholder so references through the import degrade to

@@ -45,9 +45,14 @@ type LoadedPackage struct {
 // Load parses and type-checks the packages rooted at dirs with the same
 // loader Analyze uses: stdlib source importer plus module-local import
 // resolution, test files excluded, type errors collected rather than
-// fatal.
+// fatal. The stdlib importer and its FileSet are borrowed from a pool
+// shared with other loaders in the process, so each stdlib package is
+// type-checked once while loaders keep running; the returned Universe's
+// Fset may therefore hold files of other loads, and its positions must be
+// resolved through it rather than compared as raw offsets.
 func Load(dirs []string) (*Universe, error) {
 	l := newLoader()
+	defer l.release()
 	u := &Universe{Decls: l.declsByObj}
 	for _, d := range dirs {
 		p, err := l.loadDir(d)
@@ -210,8 +215,8 @@ func itoa(n int) string {
 // PathKeyID names storage reached from a stable root object exactly like
 // the analyzer's own key abstraction (keys.go pathKey), so translated
 // objects and static classes share ids.
-func PathKeyID(root types.Object, path string) string {
-	return pathKey(kindOpaque, root, path, false).id
+func PathKeyID(fset *token.FileSet, root types.Object, path string) string {
+	return pathKey(fset, kindOpaque, root, path, false).id
 }
 
 // SiteKeyID names a creation site exactly like the analyzer's freshKey.

@@ -212,6 +212,7 @@ func Analyze(dirs []string, cfg Config) (*Report, error) {
 		cfg.Policy = movers.DefaultPolicy()
 	}
 	l := newLoader()
+	defer l.release()
 	var pkgs []*loadedPackage
 	for _, d := range dirs {
 		p, err := l.loadDir(d)
@@ -325,11 +326,11 @@ func (a *analysis) runRoot(r *rootResult) {
 				switch kk {
 				case kindVar, kindMutex, kindVolatile:
 					it.env.define(obj, binding{kind: bindKey,
-						key: pathKey(kk, obj, "", isCollection(obj.Type()))})
+						key: pathKey(a.fset, kk, obj, "", isCollection(obj.Type()))})
 				case kindOpaque:
 					if isStructish(obj.Type()) {
 						it.env.define(obj, binding{kind: bindKey,
-							key: pathKey(kindOpaque, obj, "", false)})
+							key: pathKey(a.fset, kindOpaque, obj, "", false)})
 					}
 				}
 			}
@@ -340,7 +341,7 @@ func (a *analysis) runRoot(r *rootResult) {
 
 	id := "root:" + r.name
 	if r.obj != nil {
-		id = inlineID(r.obj, nil)
+		id = inlineID(a.fset, r.obj, nil)
 	}
 	it.stack = append(it.stack, id)
 	fr := &frame{}
